@@ -60,10 +60,12 @@ func Serial(g *graph.Graph, src int32, alive []bool) Result {
 }
 
 // Parallel runs the level-synchronous parallel BFS: vertices at each
-// level are expanded concurrently, visitation is claimed with a
-// compare-and-swap on the engine's stamp array (the paper's lock-free
-// scheme), and each worker accumulates its slice of the next frontier
-// locally, so the only synchronization per level is one barrier.
+// level are expanded concurrently, each newly reached vertex is claimed
+// lock-free with a compare-and-swap minimum over the positions of its
+// frontier in-neighbors, and each worker accumulates its slice of the
+// next frontier locally. Dist and Parent equal Serial's bit for bit at
+// any worker count: the lowest-position frontier in-neighbor wins, as
+// in the queue loop (see frontier.Engine.RunOptions).
 func Parallel(g *graph.Graph, src int32, opt Options) Result {
 	e := frontier.AcquireEngine(g.NumVertices())
 	defer frontier.ReleaseEngine(e)
@@ -85,7 +87,10 @@ func Parallel(g *graph.Graph, src int32, opt Options) Result {
 // middle levels contain most of the graph, and bottom-up sweeps touch
 // each unvisited vertex once instead of scanning the frontier's entire
 // (huge) neighborhood. Directed graphs run bottom-up only when
-// opt.Reverse supplies the in-adjacency CSR.
+// opt.Reverse supplies the in-adjacency CSR. Bottom-up levels take each
+// vertex's first frontier in-neighbor in adjacency order, so parents
+// may differ from Serial's, but the result is identical at any worker
+// count.
 func DirectionOptimizing(g *graph.Graph, src int32, opt Options) Result {
 	e := frontier.AcquireEngine(g.NumVertices())
 	defer frontier.ReleaseEngine(e)

@@ -76,6 +76,10 @@ func TestParallelMatchesSerialOnRandomGraphs(t *testing.T) {
 						t.Fatalf("trial %d workers %d da %v: dist[%d] = %d, want %d",
 							trial, workers, da, v, got.Dist[v], want.Dist[v])
 					}
+					if got.Parent[v] != want.Parent[v] {
+						t.Fatalf("trial %d workers %d da %v: parent[%d] = %d, want %d",
+							trial, workers, da, v, got.Parent[v], want.Parent[v])
+					}
 				}
 			}
 		}

@@ -10,12 +10,25 @@ func TestDirectionOptimizingMatchesSerial(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		g := generate.RMAT(2000, 16000, generate.DefaultRMAT(), int64(trial))
 		want := Serial(g, 1, nil)
+		var one Result
 		for _, workers := range []int{1, 4} {
 			got := DirectionOptimizing(g, 1, Options{Workers: workers})
 			for v := range want.Dist {
 				if got.Dist[v] != want.Dist[v] {
 					t.Fatalf("trial %d workers %d: dist[%d] = %d, want %d",
 						trial, workers, v, got.Dist[v], want.Dist[v])
+				}
+			}
+			// Bottom-up levels pick parents in adjacency order, so the
+			// tree differs from Serial's; it must not depend on workers.
+			if workers == 1 {
+				one = got
+				continue
+			}
+			for v := range one.Parent {
+				if got.Parent[v] != one.Parent[v] {
+					t.Fatalf("trial %d workers %d: parent[%d] = %d, want %d (workers 1)",
+						trial, workers, v, got.Parent[v], one.Parent[v])
 				}
 			}
 		}

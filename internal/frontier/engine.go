@@ -120,9 +120,13 @@ type Engine struct {
 	order  []int32  // visited vertices in BFS order; order[0] = src
 	bounds []int32  // level d occupies order[bounds[d]:bounds[d+1]]
 
-	cur   Frontier  // current level in hybrid form
-	nexts [][]int32 // per-worker discovery buffers (parallel steps)
-	wbuf  []int64   // frontier weight scratch for DegreeAware
+	cur   Frontier   // current level in hybrid form
+	nexts [][]int32  // per-worker discovery buffers (parallel steps)
+	wbuf  []int64    // frontier weight scratch for DegreeAware
+	bnd   []int      // per-worker frontier ranges (parallel top-down)
+	cands [][]uint64 // per-worker claim candidates: position<<32 | vertex
+	claim []uint32   // parallel top-down claims; see stepTopDownParallel
+	owned bool       // the latest run set claim words (see releaseClaims)
 }
 
 // NewEngine returns an engine for graphs with n vertices.
@@ -136,6 +140,7 @@ func NewEngine(n int) *Engine {
 // existing arrays when they are large enough. Any previous traversal
 // state is discarded.
 func (e *Engine) Resize(n int) {
+	e.releaseClaims()
 	if cap(e.dist) < n || cap(e.stamp) < n || cap(e.parent) < n {
 		e.stamp = make([]uint32, n)
 		e.dist = make([]int32, n)
@@ -160,6 +165,7 @@ func (e *Engine) Len() int { return len(e.dist) }
 // where the stamp array is cleared once so stale stamps from the
 // previous generation cannot alias the new epoch sequence.
 func (e *Engine) begin() {
+	e.releaseClaims()
 	e.epoch++
 	if e.epoch == 0 {
 		clear(e.stamp)
@@ -184,8 +190,11 @@ func (e *Engine) Run(g *graph.Graph, src int32, alive []bool, maxDepth int32) {
 // neighbors, serial or lock-free parallel with per-worker buffers) or
 // bottom-up (unvisited vertices probe the frontier bitmap through
 // their in-arcs), per the Alpha/Beta heuristic. Distances are
-// direction-independent; parents are any valid tree (exact serial
-// parents when top-down with one worker).
+// direction-independent. Parents and visitation order never depend on
+// the worker count: a top-down level gives exactly the serial queue
+// loop's parents and order (lowest-position frontier in-neighbor), and
+// a bottom-up level gives each vertex its first alive in-arc into the
+// frontier in adjacency order, listing the level by vertex id.
 func (e *Engine) RunOptions(g *graph.Graph, src int32, opt Options) {
 	workers := opt.Workers
 	if workers <= 0 {
@@ -319,10 +328,29 @@ func (e *Engine) stepTopDownSerial(g *graph.Graph, alive []bool, depth int32, lo
 	e.order = order
 }
 
-// stepTopDownParallel expands order[lo:hi] with per-worker next
-// buffers; visitation is claimed with a compare-and-swap on the stamp
-// array (the paper's lock-free scheme), so the only synchronization
-// per level is one barrier.
+// stepTopDownParallel expands order[lo:hi] across workers and yields
+// exactly what stepTopDownSerial would, at any worker count: each newly
+// reached vertex u takes as parent the frontier vertex with the lowest
+// level position that has an alive arc to u, and the next level lists
+// vertices by that winning position, then by arc order within its
+// adjacency. Two passes over the same chunks, one fan-out:
+//
+//   - claim: every arc to an unreached u does a lock-free CAS-min of
+//     its key, the frontier vertex's visitation-order position + 1, on
+//     claim[u] (the paper's lock-free scheme, made order-independent),
+//     and the worker records each claim it won at the time as a
+//     candidate. Zero means unclaimed in this run. Keys grow level by
+//     level, so a word set by an earlier parallel level is below every
+//     current key and settles the arc with one read, as does a lower
+//     current key; stamp is read only for zero words, to skip vertices
+//     that serial or bottom-up levels reached;
+//   - own: after a barrier, each worker keeps the candidates whose claim
+//     word still holds its key. Only that owner writes stamp, dist and
+//     parent, and the pass writes no claim word, so it needs no
+//     atomics.
+//
+// Candidates stay in (position, arc) order within a chunk, so merging
+// the workers' buffers in worker order reproduces the serial level.
 func (e *Engine) stepTopDownParallel(g *graph.Graph, alive []bool, depth int32, lo, hi int, workers int, degreeAware bool) {
 	ep := e.epoch
 	stamp, dist, parent := e.stamp, e.dist, e.parent
@@ -331,37 +359,92 @@ func (e *Engine) stepTopDownParallel(g *graph.Graph, alive []bool, depth int32, 
 		workers = len(front)
 	}
 	e.prepareWorkers(workers)
-	expand := func(w, flo, fhi int) {
-		next := e.nexts[w][:0]
-		for i := flo; i < fhi; i++ {
-			v := front[i]
-			alo, ahi := g.Offsets[v], g.Offsets[v+1]
-			for a := alo; a < ahi; a++ {
-				if alive != nil && !alive[g.EID[a]] {
-					continue
-				}
-				u := g.Adj[a]
-				s := atomic.LoadUint32(&stamp[u])
-				if s != ep && atomic.CompareAndSwapUint32(&stamp[u], s, ep) {
-					dist[u] = depth
-					parent[u] = v
-					next = append(next, u)
-				}
-			}
-		}
-		e.nexts[w] = next
+	for len(e.cands) < workers {
+		e.cands = append(e.cands, make([]uint64, 0, 256))
 	}
+	if n := len(e.dist); len(e.claim) < n {
+		// Allocated at the first parallel level after a growing
+		// Resize, so serial-only engines never carry it. Words past
+		// the old length were released with the run that set them.
+		if cap(e.claim) >= n {
+			e.claim = e.claim[:n]
+		} else {
+			e.claim = make([]uint32, n)
+		}
+	}
+	claim := e.claim
+	e.owned = true
+	var bounds []int
 	if degreeAware {
 		wbuf := e.wbuf[:0]
 		for _, v := range front {
 			wbuf = append(wbuf, g.Offsets[v+1]-g.Offsets[v])
 		}
 		e.wbuf = wbuf
-		par.ForDegreeAware(wbuf, workers, expand)
+		bounds = par.DegreeAware(wbuf, workers)
 	} else {
-		par.ForChunkedN(len(front), workers, expand)
+		bounds = e.bnd[:0]
+		for w := 0; w < workers; w++ {
+			flo, _ := par.Slice(len(front), workers, w)
+			bounds = append(bounds, flo)
+		}
+		bounds = append(bounds, len(front))
+		e.bnd = bounds
 	}
+	par.ForTwoPhase(bounds, func(w, flo, fhi int) {
+		cand := e.cands[w][:0]
+		for i := flo; i < fhi; i++ {
+			v := front[i]
+			key := uint32(lo+i) + 1
+			alo, ahi := g.Offsets[v], g.Offsets[v+1]
+			for a := alo; a < ahi; a++ {
+				if alive != nil && !alive[g.EID[a]] {
+					continue
+				}
+				u := g.Adj[a]
+				old := atomic.LoadUint32(&claim[u])
+				if old == 0 && stamp[u] == ep {
+					continue
+				}
+				for old == 0 || old > key {
+					if atomic.CompareAndSwapUint32(&claim[u], old, key) {
+						cand = append(cand, uint64(i)<<32|uint64(u))
+						break
+					}
+					old = atomic.LoadUint32(&claim[u])
+				}
+			}
+		}
+		e.cands[w] = cand
+	}, func(w, _, _ int) {
+		next := e.nexts[w][:0]
+		for _, c := range e.cands[w] {
+			i, u := uint32(c>>32), int32(uint32(c))
+			if claim[u] != uint32(lo)+i+1 {
+				continue // a lower position took u later
+			}
+			stamp[u] = ep
+			dist[u] = depth
+			parent[u] = front[i]
+			next = append(next, u)
+		}
+		e.nexts[w] = next
+	})
 	e.merge(workers)
+}
+
+// releaseClaims zeroes the claim words the latest run set. Each belongs
+// to a vertex that run reached (the lowest claim on a word always owns
+// it), so the reset walks the visitation order: O(reached), and only
+// after runs with a parallel top-down level.
+func (e *Engine) releaseClaims() {
+	if !e.owned {
+		return
+	}
+	for _, v := range e.order {
+		e.claim[v] = 0
+	}
+	e.owned = false
 }
 
 // stepBottomUp discovers the next level by scanning unvisited vertices:

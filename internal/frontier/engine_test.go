@@ -286,3 +286,115 @@ func TestEngineDirected(t *testing.T) {
 		})
 	}
 }
+
+// sameRun fails unless e's latest run equals the recorded one in
+// distances, parents and visitation order.
+func sameRun(t *testing.T, what string, e *frontier.Engine, dist, parent, order []int32) {
+	t.Helper()
+	for v := range dist {
+		if d, p := e.Dist(int32(v)), e.Parent(int32(v)); d != dist[v] || p != parent[v] {
+			t.Fatalf("%s: vertex %d is (%d,%d), want (%d,%d)", what, v, d, p, dist[v], parent[v])
+		}
+	}
+	got := e.Order()
+	if len(got) != len(order) {
+		t.Fatalf("%s: reached %d, want %d", what, len(got), len(order))
+	}
+	for i := range order {
+		if got[i] != order[i] {
+			t.Fatalf("%s: Order[%d] = %d, want %d", what, i, got[i], order[i])
+		}
+	}
+}
+
+// Every configuration yields the same distances, parents and
+// visitation order at any worker count, with and without an alive
+// mask.
+func TestEngineWorkerInvariant(t *testing.T) {
+	for gname, g := range testGraphs(t) {
+		rng := rand.New(rand.NewSource(23))
+		alive := make([]bool, g.NumEdges())
+		for i := range alive {
+			alive[i] = rng.Intn(5) != 0
+		}
+		for cname, opt := range engineConfigs() {
+			for _, mask := range [][]bool{nil, alive} {
+				opt.Alive = mask
+				e := frontier.NewEngine(g.NumVertices())
+				for trial := 0; trial < 4; trial++ {
+					src := int32(rng.Intn(g.NumVertices()))
+					one := opt
+					one.Workers = 1
+					e.RunOptions(g, src, one)
+					n := g.NumVertices()
+					dist, parent := make([]int32, n), make([]int32, n)
+					for v := range dist {
+						dist[v], parent[v] = e.Dist(int32(v)), e.Parent(int32(v))
+					}
+					order := append([]int32(nil), e.Order()...)
+					for _, workers := range []int{2, 3, 7} {
+						opt.Workers = workers
+						e.RunOptions(g, src, opt)
+						what := gname + "/" + cname
+						if mask != nil {
+							what += "/alive"
+						}
+						sameRun(t, what, e, dist, parent, order)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Parallel edges are claimed once, by their lowest-position frontier
+// endpoint, exactly as the serial loop keeps only the first.
+func TestEngineParallelMultigraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var edges []graph.Edge
+	for i := 0; i < 3000; i++ {
+		u, v := int32(rng.Intn(300)), int32(rng.Intn(300))
+		edges = append(edges, graph.Edge{U: u, V: v}, graph.Edge{U: u, V: v})
+	}
+	g, err := graph.Build(300, edges, graph.BuildOptions{AllowMulti: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := frontier.NewEngine(g.NumVertices())
+	for src := int32(0); src < 20; src++ {
+		want := bfs.Serial(g, src, nil)
+		e.RunOptions(g, src, frontier.Options{Workers: 4, MaxDepth: -1, DegreeAware: src%2 == 0})
+		checkRun(t, g, e, src, nil)
+		for v := int32(0); int(v) < g.NumVertices(); v++ {
+			if e.Parent(v) != want.Parent[v] {
+				t.Fatalf("src %d: Parent(%d) = %d, want %d", src, v, e.Parent(v), want.Parent[v])
+			}
+		}
+	}
+}
+
+// Claim words marked by one parallel run are released before the next
+// run and across a Resize that shrinks and regrows the engine, so stale
+// claims never block or misattribute a later discovery.
+func TestEngineClaimsReleasedAcrossRuns(t *testing.T) {
+	g := generate.RMAT(400, 1600, generate.DefaultRMAT(), 41)
+	small := generate.ErdosRenyi(50, 150, 42)
+	e := frontier.NewEngine(g.NumVertices())
+	opt := frontier.Options{Workers: 4, MaxDepth: -1}
+	for src := int32(0); src < 12; src++ {
+		want := bfs.Serial(g, src, nil)
+		e.RunOptions(g, src, opt)
+		for v := int32(0); int(v) < g.NumVertices(); v++ {
+			if e.Dist(v) != want.Dist[v] || e.Parent(v) != want.Parent[v] {
+				t.Fatalf("src %d: vertex %d is (%d,%d), want (%d,%d)",
+					src, v, e.Dist(v), e.Parent(v), want.Dist[v], want.Parent[v])
+			}
+		}
+		if src%3 == 2 {
+			e.Resize(small.NumVertices())
+			e.RunOptions(small, src, opt)
+			checkRun(t, small, e, src, nil)
+			e.Resize(g.NumVertices())
+		}
+	}
+}

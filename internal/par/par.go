@@ -192,6 +192,58 @@ func DegreeAware(weight []int64, workers int) []int {
 	return bounds
 }
 
+// ForTwoPhase runs first(w, bounds[w], bounds[w+1]) for every non-empty
+// range w, waits until all of them have returned, then runs second
+// over the same ranges. Both phases of a range run on one goroutine
+// (the caller's, for the first non-empty range) behind an internal
+// barrier, so a kernel whose second pass must see everything the first
+// wrote pays one fan-out instead of two.
+func ForTwoPhase(bounds []int, first, second func(worker, lo, hi int)) {
+	workers, active := len(bounds)-1, 0
+	for w := 0; w < workers; w++ {
+		if bounds[w] < bounds[w+1] {
+			active++
+		}
+	}
+	if active <= 1 {
+		for w := 0; w < workers; w++ {
+			if bounds[w] < bounds[w+1] {
+				first(w, bounds[w], bounds[w+1])
+				second(w, bounds[w], bounds[w+1])
+			}
+		}
+		return
+	}
+	// One variable for both groups: the goroutines capture it, so it
+	// costs a single heap allocation.
+	var wg struct{ barrier, done sync.WaitGroup }
+	wg.barrier.Add(active)
+	run := func(w int) {
+		lo, hi := bounds[w], bounds[w+1]
+		first(w, lo, hi)
+		wg.barrier.Done()
+		wg.barrier.Wait()
+		second(w, lo, hi)
+	}
+	caller := -1
+	for w := 0; w < workers; w++ {
+		if bounds[w] >= bounds[w+1] {
+			continue
+		}
+		if caller < 0 {
+			caller = w
+			continue
+		}
+		wg.done.Add(1)
+		go func(w int) {
+			defer wg.done.Done()
+			run(w)
+		}(w)
+	}
+	run(caller)
+	wg.done.Wait()
+}
+
 // ForDegreeAware runs body over [0, n) with one goroutine per
 // degree-aware range computed from weight.
 func ForDegreeAware(weight []int64, workers int, body func(worker, lo, hi int)) {

@@ -185,3 +185,38 @@ func TestMinMaxInt64(t *testing.T) {
 		t.Fatalf("MinMax = (%d, %d), want (-2, 9)", mn, mx)
 	}
 }
+
+// The second phase of every range starts only after the first phase of
+// all ranges has finished, and both phases cover each non-empty range
+// exactly once on the same worker index.
+func TestForTwoPhaseBarrier(t *testing.T) {
+	for _, bounds := range [][]int{{0, 10}, {0, 3, 3, 9, 20}, {0, 0, 5}, {0, 4, 8, 12}, {2, 2}} {
+		workers := len(bounds) - 1
+		var firsts int64
+		seen := make([]int32, bounds[workers])
+		ForTwoPhase(bounds, func(w, lo, hi int) {
+			if lo != bounds[w] || hi != bounds[w+1] || lo >= hi {
+				t.Errorf("bounds %v: first got range %d [%d,%d)", bounds, w, lo, hi)
+			}
+			atomic.AddInt64(&firsts, 1)
+		}, func(w, lo, hi int) {
+			active := int64(0)
+			for v := 0; v < workers; v++ {
+				if bounds[v] < bounds[v+1] {
+					active++
+				}
+			}
+			if got := atomic.LoadInt64(&firsts); got != active {
+				t.Errorf("bounds %v: second phase of %d saw %d of %d first phases", bounds, w, got, active)
+			}
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&seen[i], 1)
+			}
+		})
+		for i := bounds[0]; i < bounds[workers]; i++ {
+			if seen[i] != 1 {
+				t.Fatalf("bounds %v: index %d covered %d times", bounds, i, seen[i])
+			}
+		}
+	}
+}

@@ -195,7 +195,8 @@ func PreferentialAttachment(n, k int, seed int64) *Graph {
 // BFSResult is a breadth-first tree (hop distances and parents).
 type BFSResult = bfs.Result
 
-// BFS runs the lock-free level-synchronous parallel BFS from src.
+// BFS runs the lock-free level-synchronous parallel BFS from src. Its
+// distances and parents equal BFSSerial's at any worker count.
 func BFS(g *Graph, src int32) BFSResult {
 	return bfs.Parallel(g, src, bfs.Options{DegreeAware: true})
 }
